@@ -10,8 +10,11 @@ build:
 vet:
 	$(GO) vet ./...
 
+# perfbench is its own module (repro/perfbench), so ./... at the root does
+# not reach its tests.
 test:
 	$(GO) test ./...
+	$(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race ./...

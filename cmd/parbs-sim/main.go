@@ -54,7 +54,7 @@ func main() {
 		ticked    = flag.Bool("ticked", false, "force the legacy one-cycle-per-iteration run loop (disables next-event cycle skipping)")
 		channels  = flag.Int("channels", 0, "DRAM channels (0 scales with cores as in the paper: 1/2/4 for 4/8/16)")
 		chanMode  = flag.String("channel-mode", "", "channel organization: "+strings.Join(parbs.ChannelModeNames(), ", ")+" (default lockstep, the paper's ganged organization)")
-		par       = flag.Int("parallelism", 0, "worker goroutines for -channel-mode independent (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
+		par       = flag.Int("parallelism", 0, "worker goroutines for the shared run and its alone baselines, or for one run's channel shards under -channel-mode independent (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run (pprof format) to this file")
 		memProf   = flag.String("memprofile", "", "write an end-of-run heap profile (pprof format) to this file")
 	)
@@ -150,23 +150,60 @@ func main() {
 			fatal(err)
 		}
 	}
-	var res sim.Result
+	runShared := func(c sim.Config) (sim.Result, error) { return sim.Run(c, mix, policy) }
 	runAlone := sim.RunAlone
 	if mode == parbs.Independent {
 		name := *schedName
-		res, err = sim.RunIndependent(cfg, mix, func() memctrl.Policy {
-			p, ferr := sched.ByName(name)
-			if ferr != nil {
-				panic(ferr) // unreachable: ByName succeeded above
-			}
-			return p
-		})
+		runShared = func(c sim.Config) (sim.Result, error) {
+			return sim.RunIndependent(c, mix, func() memctrl.Policy {
+				p, ferr := sched.ByName(name)
+				if ferr != nil {
+					panic(ferr) // unreachable: ByName succeeded above
+				}
+				return p
+			})
+		}
 		runAlone = sim.RunAloneIndependent
-	} else {
-		res, err = sim.Run(cfg, mix, policy)
 	}
+	// The shared run and one alone baseline per distinct benchmark are
+	// independent tasks on one pool, the shared run (the longest) first;
+	// overlapping tasks run their channel shards inline.
+	var distinct []workload.Profile
+	seen := map[string]bool{}
+	for _, p := range mix.Benchmarks {
+		if !seen[p.Name] {
+			seen[p.Name] = true
+			distinct = append(distinct, p)
+		}
+	}
+	tasks := 1 + len(distinct)
+	if sim.WorkerCount(*par, tasks) > 1 {
+		cfg.Parallelism = 1
+	}
+	ctx := cfg.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var res sim.Result
+	bases := make([]metrics.ThreadOutcome, len(distinct))
+	// Tasks keep cfg.Context (the -timeout deadline, which every task
+	// observes): a context on an untimed run would add epoch checkpoints,
+	// and with them evaluated cycles, to the engine line.
+	err = sim.ParallelFor(ctx, *par, tasks, func(_ context.Context, i int) error {
+		var err error
+		if i == 0 {
+			res, err = runShared(cfg)
+		} else {
+			bases[i-1], err = runAlone(cfg, distinct[i-1])
+		}
+		return err
+	})
 	if err != nil {
 		fatal(err)
+	}
+	alone := map[string]metrics.ThreadOutcome{}
+	for i, p := range distinct {
+		alone[p.Name] = bases[i]
 	}
 	chanOrg := "lock-step"
 	if mode == parbs.Independent {
@@ -179,12 +216,9 @@ func main() {
 	fmt.Printf("%-12s %10s %8s %8s %8s %8s %10s\n",
 		"thread", "slowdown", "IPC", "MCPI", "BLP", "RBhit", "AST/req")
 	for i, th := range res.Threads {
-		alone, err := runAlone(cfg, mix.Benchmarks[i])
-		if err != nil {
-			fatal(err)
-		}
-		aloneMCPI[i] = alone.CPU.MCPI()
-		c := metrics.Comparison{Alone: alone, Shared: th}
+		base := alone[th.Benchmark]
+		aloneMCPI[i] = base.CPU.MCPI()
+		c := metrics.Comparison{Alone: base, Shared: th}
 		cs = append(cs, c)
 		fmt.Printf("%-12s %10.2f %8.3f %8.2f %8.2f %8.3f %10.1f\n",
 			th.Benchmark, c.MemSlowdown(), th.CPU.IPC(), th.CPU.MCPI(),

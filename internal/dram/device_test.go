@@ -362,3 +362,32 @@ func TestRowHitRateEmptyAndClamped(t *testing.T) {
 		t.Error("hit rate should clamp at 0 when activates exceed CAS")
 	}
 }
+
+// TestRowHitRateUndercountsUnusedActivate: RowHitRate's CAS − ACT estimate
+// assumes each activate serves exactly one CAS that needed it. An activate
+// precharged before any CAS breaks that: here 2 of 3 reads hit an open
+// row, but the estimate reports 1 of 3.
+func TestRowHitRateUndercountsUnusedActivate(t *testing.T) {
+	d := newTestDevice(t, 1)
+	now := int64(0)
+	issue := func(cmd Command, row int64) {
+		for !d.CanIssue(now, cmd, 0, row) {
+			now++
+		}
+		d.Issue(now, cmd, 0, row)
+	}
+	issue(CmdActivate, 1) // opened, then closed unused
+	issue(CmdPrecharge, 1)
+	issue(CmdActivate, 2)
+	issue(CmdRead, 2) // needed the activate
+	issue(CmdRead, 2) // hit
+	issue(CmdRead, 2) // hit
+	st := d.Stats()
+	if st.Activates != 2 || st.Reads != 3 {
+		t.Fatalf("stats %+v, want 2 activates and 3 reads", st)
+	}
+	const trueHitRate = 2.0 / 3
+	if got := st.RowHitRate(); got != 1.0/3 || got >= trueHitRate {
+		t.Errorf("RowHitRate = %v, want the documented under-count 1/3 (true rate %v)", got, trueHitRate)
+	}
+}

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/memctrl"
@@ -139,55 +138,14 @@ func (x *Context) RunMix(cfg sim.Config, mix workload.Mix, policy memctrl.Policy
 	}, nil
 }
 
-// parallelFor runs fn(i) for i in [0,n) on up to GOMAXPROCS workers and
-// returns the first error. Workers pull the next index under a lock and
-// check ctx before each pull, so cancellation stops scheduling new indexes
-// (in-flight fn calls finish; simulations observe the same ctx through
-// sim.Config.Context and abort at their next checkpoint). internal/serve's
-// worker pool reuses this pull-under-lock shape for its job queue.
+// parallelFor runs fn(i) for i in [0,n) on sim.ParallelFor's pool at
+// GOMAXPROCS workers and returns the first error. ctx cancellation stops
+// scheduling new indexes (in-flight fn calls finish; simulations observe
+// the same ctx through sim.Config.Context and abort at their next
+// checkpoint). internal/serve's worker pool reuses the pool's
+// pull-under-lock shape for its job queue.
 func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-		err  error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if err != nil || next >= n || ctx.Err() != nil {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				if e := fn(i); e != nil {
-					mu.Lock()
-					if err == nil {
-						err = e
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err == nil {
-		err = ctx.Err()
-	}
-	return err
+	return sim.ParallelFor(ctx, 0, n, func(_ context.Context, i int) error { return fn(i) })
 }
 
 // prepareAlone pre-computes alone baselines for every benchmark in the

@@ -51,7 +51,7 @@ func (q *Queue) Add(j *Job) error {
 
 // take blocks until a job is available and returns it, or returns nil once
 // the queue is closed and fully drained. Workers pull under the lock, the
-// same shape as internal/exp's parallelFor.
+// same shape as sim.ParallelFor.
 func (q *Queue) take() *Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()

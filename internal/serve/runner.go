@@ -9,8 +9,11 @@ import (
 )
 
 // Sink receives a running job's observability streams. Either hook may be
-// nil; both are invoked synchronously from the simulation goroutine, so
-// they must be fast and must not block.
+// nil; both are invoked synchronously from a simulation goroutine, so they
+// must be fast and must not block. Calls are serialized — neither hook is
+// entered concurrently — but a job's phases run side by side (see
+// parbs.WithParallelism), so alone-phase heartbeats may interleave with
+// the shared run's.
 type Sink struct {
 	// Progress receives heartbeat snapshots (SSE /events, occupancy gauges).
 	Progress func(parbs.Progress)
@@ -103,14 +106,16 @@ func SimulationRunner(cache *parbs.AloneCache) Runner {
 				stream = tracer.Stream()
 			}
 		}
-		// Progress callbacks fire synchronously on the simulation goroutine,
-		// which is the one place a mid-run trace flush is race-free.
+		// Shared-run heartbeats (warmup, measure) fire synchronously on the
+		// goroutine that writes the tracer, the one place a mid-run trace
+		// flush is race-free; alone-phase heartbeats come from other
+		// goroutines and must not flush.
 		if sink.Progress != nil || stream != nil {
 			opts = append(opts, parbs.WithProgress(func(p parbs.Progress) {
 				if sink.Progress != nil {
 					sink.Progress(p)
 				}
-				if stream != nil {
+				if stream != nil && (p.Phase == "warmup" || p.Phase == "measure") {
 					if chunk, err := stream.Flush(); err == nil && chunk != nil {
 						sink.TraceChunk(chunk)
 					}

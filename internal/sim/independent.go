@@ -184,7 +184,7 @@ func RunIndependent(cfg Config, mix workload.Mix, factory func() memctrl.Policy)
 			s.step(dc)
 		}
 	}
-	if w := workerCount(cfg.Parallelism, n); w > 1 {
+	if w := WorkerCount(cfg.Parallelism, n); w > 1 {
 		pool := newShardPool(shards, w)
 		defer pool.stop()
 		step = pool.cycle

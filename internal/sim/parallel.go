@@ -20,16 +20,17 @@ import (
 // gives the run goroutine a happens-before edge over every shard's state,
 // and the next start send hands it back.
 
-// workerCount resolves the Parallelism knob against the shard count:
+// WorkerCount resolves a Parallelism knob against the number of units of
+// work it spreads (channel shards, or a job's phases in ParallelFor):
 // 0 means GOMAXPROCS, 1 means inline sequential execution, and more
-// workers than shards is clamped (extra workers would only idle).
-func workerCount(parallelism, shards int) int {
+// workers than units is clamped (extra workers would only idle).
+func WorkerCount(parallelism, units int) int {
 	w := parallelism
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > shards {
-		w = shards
+	if w > units {
+		w = units
 	}
 	if w < 1 {
 		w = 1

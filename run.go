@@ -37,8 +37,10 @@ type CommandEvent struct {
 // Progress is a heartbeat snapshot delivered to the WithProgress hook at
 // every epoch checkpoint of every simulation phase.
 type Progress struct {
-	// Phase is "warmup" or "measure" during the shared run, then
-	// "alone:<benchmark>" during each baseline run.
+	// Phase is "warmup" or "measure" during the shared run and
+	// "alone:<benchmark>" during each baseline run. Phases may run
+	// concurrently (see WithParallelism), so their heartbeats may
+	// interleave.
 	Phase string
 	// CPUCycles and TotalCPUCycles locate the current phase's run;
 	// CPUCycles/TotalCPUCycles is the fraction complete.
@@ -61,10 +63,15 @@ type Progress struct {
 // not on the scheduler or co-runners — so services and sweeps that simulate
 // many workloads on the same system can share one cache and skip the
 // (dominant) baseline cost on every run after the first. Safe for
-// concurrent use by multiple simultaneous runs.
+// concurrent use by multiple simultaneous runs: concurrent misses on one
+// baseline compute it once (the first caller runs it, the others wait for
+// its result), and a failed computation is not cached.
 type AloneCache struct {
 	mu sync.Mutex
 	m  map[aloneCacheKey]metrics.ThreadOutcome
+	// flights holds the baselines being computed; each channel closes when
+	// its computation ends, successful or not.
+	flights map[aloneCacheKey]chan struct{}
 }
 
 // aloneCacheKey captures everything an alone run's outcome depends on: the
@@ -90,7 +97,10 @@ type aloneCacheKey struct {
 
 // NewAloneCache returns an empty baseline cache.
 func NewAloneCache() *AloneCache {
-	return &AloneCache{m: make(map[aloneCacheKey]metrics.ThreadOutcome)}
+	return &AloneCache{
+		m:       make(map[aloneCacheKey]metrics.ThreadOutcome),
+		flights: make(map[aloneCacheKey]chan struct{}),
+	}
 }
 
 // Len reports the number of cached baselines.
@@ -125,10 +135,51 @@ func (c *AloneCache) get(cfg sim.Config, benchmark string, independent bool) (me
 	return out, ok
 }
 
-func (c *AloneCache) put(cfg sim.Config, benchmark string, independent bool, out metrics.ThreadOutcome) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[aloneKeyFor(cfg, benchmark, independent)] = out
+// baseline returns the cached baseline for key, or computes it with compute
+// and caches it. Concurrent misses on one key single-flight: the first
+// caller computes while the others wait on its flight, then re-read the
+// map — a hit if it succeeded, a retry (the first waiter computing in turn)
+// if it failed. ctx bounds the wait.
+func (c *AloneCache) baseline(ctx context.Context, key aloneCacheKey, compute func() (metrics.ThreadOutcome, error)) (metrics.ThreadOutcome, error) {
+	for {
+		c.mu.Lock()
+		if out, ok := c.m[key]; ok {
+			c.mu.Unlock()
+			return out, nil
+		}
+		flight, busy := c.flights[key]
+		if !busy {
+			flight = make(chan struct{})
+			c.flights[key] = flight
+			c.mu.Unlock()
+			return c.fill(key, flight, compute)
+		}
+		c.mu.Unlock()
+		select {
+		case <-flight:
+		case <-ctx.Done():
+			return metrics.ThreadOutcome{}, fmt.Errorf("parbs: waiting for the %s alone baseline: %w", key.benchmark, ctx.Err())
+		}
+	}
+}
+
+// fill runs compute for the flight it owns, caches a successful result and
+// ends the flight — also when compute panics, so waiters never hang.
+func (c *AloneCache) fill(key aloneCacheKey, flight chan struct{}, compute func() (metrics.ThreadOutcome, error)) (metrics.ThreadOutcome, error) {
+	var out metrics.ThreadOutcome
+	ok := false
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		if ok {
+			c.m[key] = out
+		}
+		c.mu.Unlock()
+		close(flight)
+	}()
+	out, err := compute()
+	ok = err == nil
+	return out, err
 }
 
 // WithAloneCache shares alone-run baselines across runs through c. Runs
@@ -146,6 +197,9 @@ type runConfig struct {
 	progress    func(Progress)
 	aloneCache  *AloneCache
 	parallelism int
+	// runAlone computes one alone baseline; nil selects sim.RunAlone or
+	// sim.RunAloneIndependent by channel mode. Tests substitute failures.
+	runAlone func(sim.Config, workload.Profile) (metrics.ThreadOutcome, error)
 }
 
 // RunOption customizes a RunContext call.
@@ -167,20 +221,28 @@ func WithCommandLog(fn func(CommandEvent)) RunOption {
 }
 
 // WithProgress delivers heartbeat snapshots to fn at every epoch checkpoint,
-// across the shared run and each alone baseline run. fn must not block.
+// across the shared run and each alone baseline run. Calls to fn are
+// serialized — it is never entered concurrently — but when the run's phases
+// execute side by side (WithParallelism) their heartbeats interleave: an
+// "alone:<benchmark>" snapshot may arrive between two "measure" ones. fn
+// must not block.
 func WithProgress(fn func(Progress)) RunOption {
 	return func(rc *runConfig) { rc.progress = fn }
 }
 
-// WithParallelism bounds the worker goroutines an Independent-channel run
-// (System.ChannelMode) spreads its per-channel shards across: 0 (the
-// default) uses GOMAXPROCS, 1 runs every channel inline on the calling
-// goroutine, and values above the channel count are clamped to it. The
-// setting changes wall-clock speed only — the simulated schedule,
-// telemetry and traces are byte-identical at every level (pinned by the
-// parallel equivalence tests). Lockstep systems have a single command
-// stream and ignore it. Negative values are reported as an error by
-// RunContext.
+// WithParallelism bounds the worker goroutines a run spreads its work
+// across: 0 (the default) uses GOMAXPROCS, and 1 runs everything inline on
+// the calling goroutine — the shared run, then each alone baseline in order
+// of first appearance. A run's phases (the shared run and every alone
+// baseline the AloneCache does not already hold) are independent
+// simulations, and up to n of them execute at once, the shared run first.
+// When only one phase runs, an Independent-channel run (System.ChannelMode)
+// instead spreads its per-channel shards over up to n workers (clamped to
+// the channel count); when phases overlap, every phase runs its shards
+// inline, since the phases already occupy the workers. The setting changes
+// wall-clock speed only — the report, telemetry and traces are
+// byte-identical at every level (pinned by the parallel equivalence
+// tests). Negative values are reported as an error by RunContext.
 func WithParallelism(n int) RunOption {
 	return func(rc *runConfig) { rc.parallelism = n }
 }
@@ -193,8 +255,11 @@ func Run(sys System, w Workload, s Scheduler) (Report, error) {
 }
 
 // RunContext is Run with cooperative cancellation and optional observers.
-// ctx is polled at every epoch checkpoint (roughly every 10k CPU cycles);
+// The shared run and the alone baselines it needs are independent phases,
+// run side by side up to WithParallelism's bound. ctx is polled at every
+// epoch checkpoint of every phase (roughly every 10k CPU cycles);
 // cancellation aborts the run mid-flight with an error wrapping ctx.Err().
+// A failing phase cancels the others, and its own error is returned.
 // The scheduler must be freshly constructed: instances are single-use and
 // reuse is reported as an error.
 func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts ...RunOption) (Report, error) {
@@ -210,12 +275,17 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 		return Report{}, fmt.Errorf("parbs: WithParallelism needs a non-negative worker count, got %d", rc.parallelism)
 	}
 	independent := sys.ChannelMode == Independent
+	if rc.runAlone == nil {
+		rc.runAlone = sim.RunAlone
+		if independent {
+			rc.runAlone = sim.RunAloneIndependent
+		}
+	}
 	cfg.Parallelism = rc.parallelism
 	if len(w.mix.Benchmarks) != cfg.Cores {
 		return Report{}, fmt.Errorf("parbs: workload %q has %d benchmarks for %d cores",
 			w.mix.Name, len(w.mix.Benchmarks), cfg.Cores)
 	}
-	cfg.Context = ctx
 	if rc.tel != nil {
 		probe, err := rc.tel.bind(cfg.CPUCyclesPerDRAM)
 		if err != nil {
@@ -244,17 +314,25 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 			})
 		}
 	}
-	// phase mutates between simulation phases; the progress adapter reads
-	// it at delivery time.
-	phase := "measure"
-	if rc.progress != nil {
-		fn := rc.progress
-		cfg.Progress = func(p sim.Progress) {
+	// progress adapts sim heartbeats to one phase's label; phase "" is the
+	// shared run, labeled warmup or measure. The mutex serializes the user's
+	// callback across concurrently running phases.
+	var progressMu sync.Mutex
+	progress := func(phase string) func(sim.Progress) {
+		if rc.progress == nil {
+			return nil
+		}
+		return func(p sim.Progress) {
 			ph := phase
-			if ph == "measure" && p.Warmup {
-				ph = "warmup"
+			if ph == "" {
+				ph = "measure"
+				if p.Warmup {
+					ph = "warmup"
+				}
 			}
-			fn(Progress{
+			progressMu.Lock()
+			defer progressMu.Unlock()
+			rc.progress(Progress{
 				Phase:             ph,
 				CPUCycles:         p.CPUCycle,
 				TotalCPUCycles:    p.TotalDRAMCycles * cfg.CPUCyclesPerDRAM,
@@ -267,46 +345,73 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 	if err := s.acquire(); err != nil {
 		return Report{}, err
 	}
-	var res sim.Result
-	if independent {
-		res, err = sim.RunIndependent(cfg, w.mix, s.factory)
-	} else {
-		res, err = sim.Run(cfg, w.mix, s.policy)
+	// Alone baselines: one per distinct benchmark, in order of first
+	// appearance, minus those the cache already holds.
+	alone := map[string]metrics.ThreadOutcome{}
+	seen := map[string]bool{}
+	var todo []workload.Profile
+	for _, p := range w.mix.Benchmarks {
+		if seen[p.Name] {
+			continue
+		}
+		seen[p.Name] = true
+		if rc.aloneCache != nil {
+			if base, ok := rc.aloneCache.get(cfg, p.Name, independent); ok {
+				alone[p.Name] = base
+				continue
+			}
+		}
+		todo = append(todo, p)
 	}
+	// The shared run (task 0, the longest) and the missing baselines are
+	// independent tasks on one pool. When they overlap, shards run inline:
+	// the phases already occupy the workers.
+	tasks := 1 + len(todo)
+	if sim.WorkerCount(rc.parallelism, tasks) > 1 {
+		cfg.Parallelism = 1
+	}
+	var res sim.Result
+	bases := make([]metrics.ThreadOutcome, len(todo))
+	err = sim.ParallelFor(ctx, rc.parallelism, tasks, func(ctx context.Context, i int) error {
+		c := cfg
+		c.Context = ctx
+		if i == 0 {
+			c.Progress = progress("")
+			var err error
+			if independent {
+				res, err = sim.RunIndependent(c, w.mix, s.factory)
+			} else {
+				res, err = sim.Run(c, w.mix, s.policy)
+			}
+			if err == nil && rc.tracer != nil {
+				rc.tracer.finish()
+			}
+			return err
+		}
+		// Probe, tracer and command log are shared-run-only (RunAlone
+		// strips them); context and progress carry through.
+		p := todo[i-1]
+		c.Progress = progress("alone:" + p.Name)
+		run := func() (metrics.ThreadOutcome, error) { return rc.runAlone(c, p) }
+		var err error
+		if rc.aloneCache != nil {
+			bases[i-1], err = rc.aloneCache.baseline(ctx, aloneKeyFor(cfg, p.Name, independent), run)
+		} else {
+			bases[i-1], err = run()
+		}
+		return err
+	})
 	if err != nil {
 		return Report{}, err
 	}
-	if rc.tracer != nil {
-		rc.tracer.finish()
+	for i, p := range todo {
+		alone[p.Name] = bases[i]
 	}
-	// Alone baselines: probe and command log are shared-run-only (RunAlone
-	// strips them); context and progress carry through.
-	alone := map[string]metrics.ThreadOutcome{}
 	var cs []metrics.Comparison
 	aloneMCPI := make([]float64, len(res.Threads))
 	rep := Report{Scheduler: res.Policy, BusUtilization: res.BusUtilization()}
 	for i, th := range res.Threads {
-		base, ok := alone[th.Benchmark]
-		if !ok && rc.aloneCache != nil {
-			if base, ok = rc.aloneCache.get(cfg, th.Benchmark, independent); ok {
-				alone[th.Benchmark] = base
-			}
-		}
-		if !ok {
-			phase = "alone:" + th.Benchmark
-			if independent {
-				base, err = sim.RunAloneIndependent(cfg, w.mix.Benchmarks[i])
-			} else {
-				base, err = sim.RunAlone(cfg, w.mix.Benchmarks[i])
-			}
-			if err != nil {
-				return Report{}, err
-			}
-			alone[th.Benchmark] = base
-			if rc.aloneCache != nil {
-				rc.aloneCache.put(cfg, th.Benchmark, independent, base)
-			}
-		}
+		base := alone[th.Benchmark]
 		aloneMCPI[i] = base.CPU.MCPI()
 		c := metrics.Comparison{Alone: base, Shared: th}
 		cs = append(cs, c)

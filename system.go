@@ -23,7 +23,9 @@ const (
 	// organization of most contemporary multi-channel controllers. In this
 	// mode the channels are execution shards and the run can execute them
 	// on parallel worker goroutines (WithParallelism) with byte-identical
-	// results.
+	// results — when the run's phases do not already overlap: while the
+	// shared run and its alone baselines run side by side, each runs its
+	// shards inline.
 	Independent ChannelMode = "independent"
 )
 
