@@ -54,7 +54,7 @@ func main() {
 		ticked    = flag.Bool("ticked", false, "force the legacy one-cycle-per-iteration run loop (disables next-event cycle skipping)")
 		channels  = flag.Int("channels", 0, "DRAM channels (0 scales with cores as in the paper: 1/2/4 for 4/8/16)")
 		chanMode  = flag.String("channel-mode", "", "channel organization: "+strings.Join(parbs.ChannelModeNames(), ", ")+" (default lockstep, the paper's ganged organization)")
-		par       = flag.Int("parallelism", 0, "worker goroutines for the shared run and its alone baselines, or for one run's channel shards under -channel-mode independent (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
+		par       = flag.Int("parallelism", 0, "how many of the shared run and its alone baselines run at once (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run (pprof format) to this file")
 		memProf   = flag.String("memprofile", "", "write an end-of-run heap profile (pprof format) to this file")
 	)
@@ -116,7 +116,6 @@ func main() {
 	if *channels > 0 {
 		cfg.Geometry.Channels = *channels
 	}
-	cfg.Parallelism = *par
 	var tl *memctrl.Timeline
 	if *timeline > 0 {
 		tl = memctrl.NewTimeline(cfg.Geometry.Banks)
@@ -166,8 +165,7 @@ func main() {
 		runAlone = sim.RunAloneIndependent
 	}
 	// The shared run and one alone baseline per distinct benchmark are
-	// independent tasks on one pool, the shared run (the longest) first;
-	// overlapping tasks run their channel shards inline.
+	// independent tasks on one pool, the shared run (the longest) first.
 	var distinct []workload.Profile
 	seen := map[string]bool{}
 	for _, p := range mix.Benchmarks {
@@ -177,9 +175,6 @@ func main() {
 		}
 	}
 	tasks := 1 + len(distinct)
-	if sim.WorkerCount(*par, tasks) > 1 {
-		cfg.Parallelism = 1
-	}
 	ctx := cfg.Context
 	if ctx == nil {
 		ctx = context.Background()

@@ -46,12 +46,10 @@ type CustomPolicy struct {
 //
 // On an Independent-channel system each channel wraps the same CustomPolicy
 // in its own adapter, so the Less/OnEnqueue/OnComplete functions see
-// requests from every channel. With WithParallelism above 1 those calls
-// arrive concurrently from worker goroutines: a policy whose functions
-// close over shared mutable state must either synchronize it or be run
-// with WithParallelism(1) — and any cross-channel state makes the schedule
-// depend on channel interleaving, forfeiting the library's determinism
-// guarantee. Pure functions of their arguments are always safe.
+// requests from every channel. Those calls arrive on the run's one
+// goroutine, channel by channel in channel order, so state shared across
+// channels needs no locking and keeps the schedule deterministic. Only
+// state shared between concurrent RunContext calls needs synchronizing.
 func NewCustomScheduler(p CustomPolicy) (Scheduler, error) {
 	if p.Name == "" {
 		return Scheduler{}, fmt.Errorf("parbs: custom policy needs a name")

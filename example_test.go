@@ -63,9 +63,10 @@ func ExampleSchedulerByName() {
 }
 
 // ExampleSystem_channelMode runs the same workload on an Independent-
-// channel system — one scheduler per channel — spread across parallel
-// worker goroutines. The schedule is byte-identical at every parallelism
-// level, so WithParallelism only changes wall-clock speed.
+// channel system — one scheduler per channel — with its phases (the
+// shared run and the alone baselines) on two goroutines. The schedule is
+// byte-identical at every parallelism level, so WithParallelism only
+// changes wall-clock speed.
 func ExampleSystem_channelMode() {
 	w, err := parbs.WorkloadFromNames("lbm", "lbm", "lbm", "lbm",
 		"mcf", "mcf", "libquantum", "libquantum")
@@ -84,8 +85,8 @@ func ExampleSystem_channelMode() {
 	// Output: PAR-BS x2-independent 8 threads
 }
 
-// ExampleWithParallelism shows that sequential and parallel execution of
-// an Independent-channel system agree exactly.
+// ExampleWithParallelism shows that running an Independent-channel
+// system's phases one after another or side by side gives the same report.
 func ExampleWithParallelism() {
 	w, err := parbs.WorkloadFromNames("lbm", "lbm", "lbm", "lbm")
 	if err != nil {

@@ -40,15 +40,15 @@ type Config struct {
 	// not for correctness. Policies without an OrderEpoch (custom
 	// schedulers) run as if it were set.
 	DisableCandidateCache bool
-	// Channel identifies this controller's channel in a sharded
-	// multi-channel system; it is stamped onto CommandEvents and trace
-	// events so merged per-channel streams stay attributable. 0 for
+	// Channel identifies this controller's channel in an
+	// independent-channel system; it is stamped onto CommandEvents so the
+	// channels' interleaved streams stay attributable. 0 for
 	// single-controller systems.
 	Channel int
 	// IDBase and IDStride shard the request-ID space across independent
 	// controllers: controller ch of n assigns IDs ch, ch+n, ch+2n, ...
-	// (IDBase=ch, IDStride=n), keeping IDs globally unique so merged trace
-	// and command streams never collide. The zero values mean base 0,
+	// (IDBase=ch, IDStride=n), keeping IDs globally unique so the
+	// channels' trace and command streams never collide. The zero values mean base 0,
 	// stride 1 — the single-controller numbering.
 	IDBase   int64
 	IDStride int64
@@ -330,9 +330,8 @@ type CommandEvent struct {
 func (c *Controller) SetCommandLog(fn func(CommandEvent)) { c.cmdLog = fn }
 
 // LatencyObserver receives per-read service latencies from the retire
-// path. *telemetry.Probe and *telemetry.Collector both satisfy it; the
-// interface keeps the controller agnostic of which one a run attaches
-// (sharded runs give every channel its own collector).
+// path. *telemetry.Probe satisfies it; the interface keeps the controller
+// free of a telemetry dependency.
 type LatencyObserver interface {
 	ObserveReadLatency(thread int, lat int64)
 }

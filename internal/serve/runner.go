@@ -128,8 +128,7 @@ func SimulationRunner(cache *parbs.AloneCache) Runner {
 		}
 		if stream != nil {
 			// Final flush after the run: everything the last progress
-			// heartbeat had not yet seen (sharded runs deliver all their
-			// events here, after the shard merge).
+			// heartbeat had not yet seen.
 			if chunk, err := stream.Flush(); err == nil && chunk != nil {
 				sink.TraceChunk(chunk)
 			}

@@ -47,12 +47,11 @@ type SystemSpec struct {
 	// ChannelMode organizes the channels: "lockstep" (default) or
 	// "independent" (one scheduler per channel; see parbs.ChannelMode).
 	ChannelMode string `json:"channel_mode,omitempty"`
-	// Parallelism bounds the worker goroutines of one job (see
+	// Parallelism bounds how many of one job's phases run at once (see
 	// parbs.WithParallelism): 0 = GOMAXPROCS, 1 = sequential. The shared
-	// run and its alone baselines run side by side up to this bound, and an
-	// independent-channel run's shards spread over it when no phases
-	// overlap. Execution speed only; results are byte-identical at every
-	// level, so it is excluded from the result cache key.
+	// run and its alone baselines run side by side up to this bound.
+	// Execution speed only; results are byte-identical at every level, so
+	// it is excluded from the result cache key.
 	Parallelism   int    `json:"parallelism,omitempty"`
 	Banks         int    `json:"banks,omitempty"`
 	MeasureCycles int64  `json:"measure_cycles,omitempty"`

@@ -193,6 +193,20 @@ func TestTickedSkippedEquivalence(t *testing.T) {
 		t.Parallel()
 		expectIdenticalRuns(t, "FR-FCFS", workload.CaseStudyI(), 7, true)
 	})
+	// Independent channels: each shard elides its own controller ticks and
+	// the shared clock jumps to the earliest wake across all of them.
+	for _, name := range []string{"PAR-BS", "FR-FCFS", "STFM"} {
+		name := name
+		t.Run(name+"/independent-4ch", func(t *testing.T) {
+			t.Parallel()
+			expectIdenticalShardRuns(t, name, workload.CaseStudyI(), 13, 4)
+		})
+	}
+	// Non-pow2 channel counts exercise the modulo route.
+	t.Run("FR-FCFS/independent-3ch", func(t *testing.T) {
+		t.Parallel()
+		expectIdenticalShardRuns(t, "FR-FCFS", workload.CaseStudyI(), 7, 3)
+	})
 }
 
 // TestCandidateCacheEquivalence is the candidate-cache differential matrix:
@@ -202,7 +216,7 @@ func TestTickedSkippedEquivalence(t *testing.T) {
 // next-event and the legacy ticked loop. The cache memoizes per-bank class
 // winners keyed on the policy's OrderEpoch, so this matrix is the end-to-end
 // proof of each policy's EpochedPolicy contract (DESIGN.md §16); run under
-// -race in CI alongside the loop and parallel matrices.
+// -race in CI alongside the loop matrix.
 func TestCandidateCacheEquivalence(t *testing.T) {
 	mixes := workload.RandomMixes(2, 4, 20260808)
 	if testing.Short() {
@@ -236,27 +250,26 @@ func TestCandidateCacheEquivalence(t *testing.T) {
 			})
 		}
 	}
-	// The parallel multi-channel executor must agree across cache arms too:
-	// each shard controller keeps its own cache, and worker scheduling must
-	// not leak into the selection it memoizes.
+	// Independent channels must agree across cache arms too: each shard
+	// controller keeps its own cache.
 	for _, name := range []string{"PAR-BS", "STFM"} {
 		name := name
-		t.Run(name+"/parallel", func(t *testing.T) {
+		t.Run(name+"/independent-4ch", func(t *testing.T) {
 			t.Parallel()
-			on, onTel, onTr := differentialShardRun(t, name, workload.CaseStudyI(), 7, 4, 4, false, false)
-			off, offTel, offTr := differentialShardRun(t, name, workload.CaseStudyI(), 7, 4, 4, true, false)
+			on, onTel, onTr, _ := instrumentedRun(t, name, workload.CaseStudyI(), 7, 4, true, false, false)
+			off, offTel, offTr, _ := instrumentedRun(t, name, workload.CaseStudyI(), 7, 4, true, true, false)
 			if on.count == 0 {
-				t.Fatal("cache-on parallel run issued no commands (vacuous)")
+				t.Fatal("cache-on independent run issued no commands (vacuous)")
 			}
 			if on != off {
-				t.Errorf("parallel command streams diverge across cache arms: on {hash %#x, %d cmds} vs off {hash %#x, %d cmds}",
+				t.Errorf("independent command streams diverge across cache arms: on {hash %#x, %d cmds} vs off {hash %#x, %d cmds}",
 					on.hash, on.count, off.hash, off.count)
 			}
 			if !bytes.Equal(onTel, offTel) {
-				t.Errorf("parallel telemetry reports differ between cache arms (%d vs %d bytes)", len(onTel), len(offTel))
+				t.Errorf("independent telemetry reports differ between cache arms (%d vs %d bytes)", len(onTel), len(offTel))
 			}
 			if !bytes.Equal(onTr, offTr) {
-				t.Errorf("parallel trace logs differ between cache arms (%d vs %d bytes)", len(onTr), len(offTr))
+				t.Errorf("independent trace logs differ between cache arms (%d vs %d bytes)", len(onTr), len(offTr))
 			}
 		})
 	}

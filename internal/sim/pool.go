@@ -2,10 +2,29 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"sync"
 )
 
-// ParallelFor runs fn(ctx, i) for every i in [0,n) on WorkerCount(parallelism,
+// workerCount resolves a parallelism knob against the number of units of
+// work it spreads: 0 means GOMAXPROCS, 1 means inline sequential
+// execution, and more workers than units is clamped (extra workers would
+// only idle).
+func workerCount(parallelism, units int) int {
+	w := parallelism
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	if w > units {
+		w = units
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
+// ParallelFor runs fn(ctx, i) for every i in [0,n) on workerCount(parallelism,
 // n) goroutines, the calling goroutine among them, and returns the first
 // error. Workers pull the next index under a lock, so with one worker every
 // index runs in order on the caller, and a heavy task queued first starts
@@ -62,7 +81,7 @@ func ParallelFor(ctx context.Context, parallelism, n int, fn func(ctx context.Co
 		}
 	}
 	var wg sync.WaitGroup
-	for w := WorkerCount(parallelism, n); w > 1; w-- {
+	for w := workerCount(parallelism, n); w > 1; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -3,6 +3,13 @@
 // workloads, both shared (all cores active) and alone (one thread on the
 // same memory system), producing the raw measurements the metrics package
 // turns into the paper's evaluation numbers.
+//
+// Both channel organizations run through one next-event loop over a slice
+// of channel shards, each a device, its controller and its scheduling
+// policy. The paper's lock-step (ganged) channels are one shard (Run);
+// fully independent channels are one shard per channel behind a routing
+// port (RunIndependent). Shards are stepped on the run goroutine in channel
+// order (DESIGN.md §14).
 package sim
 
 import (
@@ -66,14 +73,6 @@ type Config struct {
 	// Context, when non-nil, is polled at every epoch checkpoint;
 	// cancellation aborts the run with the context's error.
 	Context context.Context
-	// Parallelism bounds the worker goroutines RunIndependent spreads its
-	// channel shards across: 0 uses GOMAXPROCS, 1 runs shards inline on the
-	// calling goroutine, higher values are clamped to the channel count.
-	// Results are byte-identical at every setting — the parallel
-	// equivalence tests pin command stream, telemetry and traces against
-	// the sequential path. Run (lock-step channels) has a single command
-	// stream and ignores the field.
-	Parallelism int
 	// ForceTicked forces the legacy one-cycle-per-iteration run loop,
 	// disabling next-event cycle skipping. The command stream, telemetry
 	// report and trace log are byte-identical either way — pinned by the
@@ -137,8 +136,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: measurement window must be positive")
 	case c.WarmupCPUCycles < 0 || c.CompletionOverheadCPU < 0:
 		return fmt.Errorf("sim: warmup and overhead must be non-negative")
-	case c.Parallelism < 0:
-		return fmt.Errorf("sim: parallelism must be non-negative, got %d", c.Parallelism)
 	}
 	if err := c.Core.Validate(); err != nil {
 		return err
@@ -179,95 +176,186 @@ func (r Result) BusUtilization() float64 {
 // cycles are skipped or ticked.
 const livenessWindowDRAM = 100_000
 
-// Run simulates the mix on cfg under the given scheduling policy. The
-// policy instance must be fresh (policies are stateful and single-use).
+// Run simulates the mix on cfg under the given scheduling policy, with the
+// paper's lock-step channels: one shard whose device gangs
+// cfg.Geometry.Channels channels into one command stream. The policy
+// instance must be fresh (policies are stateful and single-use).
 func Run(cfg Config, mix workload.Mix, policy memctrl.Policy) (Result, error) {
+	return run(cfg, mix, false, func() memctrl.Policy { return policy })
+}
+
+// RunIndependent simulates the mix on a system whose channels are fully
+// independent — one device, one controller and one fresh scheduling policy
+// per channel, with cache lines spread across channels by dram.ChannelRoute
+// — instead of the paper's lock-step (ganged) channels. This is the
+// organization of most contemporary multi-channel controllers and the
+// setting of the NFQ and STFM papers; comparing it against Run with the
+// same total bandwidth isolates the effect of splitting the scheduler's
+// view.
+//
+// cfg.Geometry.Channels gives the channel count; each per-channel device
+// is built with Channels = 1 (a full-width burst). factory must return a
+// fresh policy per call (policies are stateful).
+func RunIndependent(cfg Config, mix workload.Mix, factory func() memctrl.Policy) (Result, error) {
+	return run(cfg, mix, true, factory)
+}
+
+// RunAlone simulates one benchmark alone on the same memory system (same
+// channel count, banks and controller) — the baseline for slowdown metrics.
+// The scheduling policy is irrelevant with one thread; FR-FCFS is used as
+// in the paper's alone runs. Telemetry probes, tracers and command logs
+// apply only to the shared run and are stripped here; Context and Progress
+// carry over.
+func RunAlone(cfg Config, p workload.Profile) (metrics.ThreadOutcome, error) {
+	return runAlone(cfg, p, false)
+}
+
+// RunAloneIndependent simulates one benchmark alone on the same independent-
+// channel memory system — the slowdown baseline matching RunIndependent the
+// way RunAlone matches Run.
+func RunAloneIndependent(cfg Config, p workload.Profile) (metrics.ThreadOutcome, error) {
+	return runAlone(cfg, p, true)
+}
+
+func runAlone(cfg Config, p workload.Profile, independent bool) (metrics.ThreadOutcome, error) {
+	alone := cfg
+	alone.Cores = 1
+	alone.Ctrl.Threads = 1
+	alone.Probe = nil
+	alone.Tracer = nil
+	alone.CommandLog = nil
+	mix := workload.Mix{Name: "alone-" + p.Name, Benchmarks: []workload.Profile{p}}
+	res, err := run(alone, mix, independent, frfcfsPolicy)
+	if err != nil {
+		return metrics.ThreadOutcome{}, err
+	}
+	return res.Threads[0], nil
+}
+
+// run is the one run loop. A lock-step system is one shard over the
+// ganged device whose port passes addresses through; an independent one is
+// a shard per channel behind a port that routes by dram.ChannelRoute.
+// newPolicy is called once per shard, in channel order.
+func run(cfg Config, mix workload.Mix, independent bool, newPolicy func() memctrl.Policy) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
+	}
+	n, geom := 1, cfg.Geometry
+	if independent {
+		if n = geom.Channels; n < 1 {
+			return Result{}, fmt.Errorf("sim: independent channels need Channels >= 1, got %d", n)
+		}
+		geom.Channels = 1
 	}
 	if len(mix.Benchmarks) != cfg.Cores {
 		return Result{}, fmt.Errorf("sim: mix %q has %d benchmarks for %d cores",
 			mix.Name, len(mix.Benchmarks), cfg.Cores)
 	}
-	dev, err := dram.NewDevice(cfg.Timing, cfg.Geometry)
-	if err != nil {
-		return Result{}, err
-	}
-	ctrlCfg := cfg.Ctrl
-	ctrlCfg.Threads = cfg.Cores
-	ctrl, err := memctrl.NewController(dev, policy, ctrlCfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if cfg.CommandLog != nil {
-		ctrl.SetCommandLog(cfg.CommandLog)
-	}
-	port := &memPort{ctrl: ctrl}
+
+	ratio := cfg.CPUCyclesPerDRAM
+	overhead := cfg.CompletionOverheadCPU
 	cores := make([]*cpu.Core, cfg.Cores)
+	shards := make([]*shard, n)
+	for ch := range shards {
+		dev, err := dram.NewDevice(cfg.Timing, geom)
+		if err != nil {
+			return Result{}, err
+		}
+		ctrlCfg := cfg.Ctrl
+		ctrlCfg.Threads = cfg.Cores
+		// Stamp the channel and stride request IDs so they stay unique
+		// across channels (trace analysis keys on them).
+		ctrlCfg.Channel = ch
+		ctrlCfg.IDBase = int64(ch)
+		ctrlCfg.IDStride = int64(n)
+		pol := newPolicy()
+		if pol == nil {
+			return Result{}, fmt.Errorf("sim: policy factory returned nil")
+		}
+		ctrl, err := memctrl.NewController(dev, pol, ctrlCfg)
+		if err != nil {
+			return Result{}, err
+		}
+		// Shards step in channel order on this goroutine, so completions and
+		// command-log events are delivered as the controller produces them.
+		ctrl.SetOnComplete(func(r *memctrl.Request, endDRAM int64) {
+			cores[r.Thread].Complete(r, endDRAM*ratio+overhead)
+		})
+		if cfg.CommandLog != nil {
+			ctrl.SetCommandLog(cfg.CommandLog)
+		}
+		shards[ch] = &shard{ctrl: ctrl, dev: dev, policy: pol}
+	}
+	policyName := shards[0].policy.Name()
+
+	port := &memPort{shards: shards, route: independent, line: cfg.Geometry.LineBytes}
 	for i, p := range mix.Benchmarks {
-		trace := p.Trace(i, cfg.Geometry, cfg.Seed)
-		core, err := cpu.NewCore(i, cfg.Core, trace, port)
+		core, err := cpu.NewCore(i, cfg.Core, p.Trace(i, geom, cfg.Seed), port)
 		if err != nil {
 			return Result{}, err
 		}
 		cores[i] = core
 	}
-	ctrl.SetOnComplete(func(r *memctrl.Request, endDRAM int64) {
-		cores[r.Thread].Complete(r, endDRAM*cfg.CPUCyclesPerDRAM+cfg.CompletionOverheadCPU)
-	})
 
-	ratio := cfg.CPUCyclesPerDRAM
 	warmupDRAM := cfg.WarmupCPUCycles / ratio
 	totalDRAM := warmupDRAM + cfg.MeasureCPUCycles/ratio
 
-	// Telemetry setup: bind the probe's ring buffers to this run's shape and
-	// attach the per-event hooks (read latencies from the controller, batch
-	// lifecycle from a PAR-BS engine when the policy is one). Everything is
-	// preallocated here; the per-cycle loop below allocates nothing.
+	// Telemetry setup: bind the probe's ring buffers to this run's shape
+	// (banks concatenated across channels) and attach the per-event hooks
+	// (read latencies from every controller, batch lifecycle from every
+	// PAR-BS engine). Everything is preallocated here; the per-cycle loop
+	// below allocates nothing.
 	var tel *sampler
 	checkEvery := int64(1024) // context/progress checkpoint period
 	if probe := cfg.Probe; probe != nil {
 		epochLen := probe.EpochDRAMCycles()
 		checkEvery = epochLen
-		probe.Bind(cfg.Cores, cfg.Geometry.Banks, dev.BurstCycles(),
+		probe.Bind(cfg.Cores, n*geom.Banks, shards[0].dev.BurstCycles(),
 			(totalDRAM-warmupDRAM)/epochLen)
-		ctrl.SetProbe(probe)
-		if eng, ok := policy.(interface{ SetBatchObserver(core.BatchObserver) }); ok {
-			eng.SetBatchObserver(probe)
+		for _, s := range shards {
+			s.ctrl.SetProbe(probe)
+			if eng, ok := s.policy.(interface{ SetBatchObserver(core.BatchObserver) }); ok {
+				eng.SetBatchObserver(probe)
+			}
 		}
 		tel = &sampler{
 			probe:      probe,
 			cores:      cores,
-			ctrl:       ctrl,
-			dev:        dev,
+			shards:     shards,
 			threads:    make([]telemetry.ThreadSample, cfg.Cores),
-			bankCAS:    make([]int64, cfg.Geometry.Banks),
+			bankCAS:    make([]int64, n*geom.Banks),
 			nextSample: warmupDRAM + epochLen,
 			epochLen:   epochLen,
 		}
 	}
 	// Tracing setup: stamp the run's metadata and attach the lifecycle
-	// hooks (arrivals/commands/completions from the controller, marking
-	// and batch spans from a PAR-BS engine when the policy is one).
+	// hooks (arrivals/commands/completions from each controller, marking
+	// and batch spans from each PAR-BS engine), each through a handle that
+	// stamps the shard's channel onto the run's one event buffer.
 	if tr := cfg.Tracer; tr != nil {
-		markingCap := 0
-		if eng, ok := policy.(*core.Engine); ok {
-			markingCap = eng.Options().MarkingCap
-		}
-		tr.Bind(trace.Meta{
-			Policy:         policy.Name(),
+		meta := trace.Meta{
+			Policy:         policyName,
 			Workload:       mix.Name,
 			Cores:          cfg.Cores,
-			Banks:          cfg.Geometry.Banks,
+			Banks:          geom.Banks,
 			CPUPerDRAM:     ratio,
 			WarmupDRAM:     warmupDRAM,
 			TotalDRAM:      totalDRAM,
-			MarkingCap:     markingCap,
-			ReadBufEntries: ctrlCfg.ReadBufEntries,
-		})
-		ctrl.SetTracer(tr)
-		if eng, ok := policy.(interface{ SetLifecycleObserver(core.LifecycleObserver) }); ok {
-			eng.SetLifecycleObserver(tr)
+			ReadBufEntries: cfg.Ctrl.ReadBufEntries,
+		}
+		if eng, ok := shards[0].policy.(*core.Engine); ok {
+			meta.MarkingCap = eng.Options().MarkingCap
+		}
+		if independent {
+			meta.Channels = n
+		}
+		tr.Bind(meta)
+		for ch, s := range shards {
+			st := tr.ForChannel(ch)
+			s.ctrl.SetTracer(st)
+			if eng, ok := s.policy.(interface{ SetLifecycleObserver(core.LifecycleObserver) }); ok {
+				eng.SetLifecycleObserver(st)
+			}
 		}
 	}
 	// Checkpoints (context polls, progress heartbeats) share the epoch
@@ -280,51 +368,38 @@ func Run(cfg Config, mix workload.Mix, policy memctrl.Policy) (Result, error) {
 
 	// The run loop is a next-event clock: each iteration evaluates one DRAM
 	// cycle (cores first over the CPU span they have not yet simulated, then
-	// the controller), and when the evaluated cycle was provably inert —
-	// the controller issued nothing and every core reported a stall bound —
-	// the clock jumps straight to the earliest cycle at which anything can
-	// happen. Jump targets are lower bounds that never overshoot an event
-	// (DESIGN.md §13), and every externally-timed edge (warmup reset,
-	// telemetry epoch, checkpoint, liveness deadline) caps the jump so it is
-	// evaluated on exactly the cycle the ticked loop would have, making the
-	// command stream, telemetry and traces byte-identical in both modes
-	// (pinned by the differential equivalence tests).
-	skipping := !cfg.ForceTicked
+	// every shard's controller in channel order), and when the evaluated
+	// cycle was provably inert — no controller issued and every core
+	// reported a stall bound — the clock jumps straight to the earliest
+	// cycle at which anything can happen. Jump targets are lower bounds that
+	// never overshoot an event (DESIGN.md §13), and every externally-timed
+	// edge (warmup reset, telemetry epoch, checkpoint, liveness deadline)
+	// caps the jump so it is evaluated on exactly the cycle the ticked loop
+	// would have, making the command stream, telemetry and traces
+	// byte-identical in both modes (pinned by the differential equivalence
+	// tests).
+	//
 	// Per-core tick gating: a core whose last Tick ended in a provable
 	// non-port stall is left unticked — its stall span accrues later in one
-	// closed-form catch-up Tick — while other cores and the controller keep
+	// closed-form catch-up Tick — while other cores and the controllers keep
 	// running. The gate is re-evaluated every evaluated cycle through the
-	// core's live BlockedUntil (which sees completions the controller queued
-	// in between), and port-stalled cores are exempt: a command issue frees
-	// the buffer slot they wait on, an event their stall bound cannot see.
-	// Gating requires CompletionOverheadCPU >= ratio so a completion queued
-	// by this cycle's controller tick (at dc*ratio+overhead) can never fall
-	// inside the current core span — otherwise a catch-up tick would deliver
-	// it one evaluated cycle earlier than per-cycle ticking does.
-	gating := skipping && cfg.CompletionOverheadCPU >= ratio
+	// core's live BlockedUntil (which sees completions the controllers
+	// queued in between), and port-stalled cores are exempt: a command issue
+	// frees the buffer slot they wait on, an event their stall bound cannot
+	// see. Gating requires CompletionOverheadCPU >= ratio so a completion
+	// queued by this cycle's controller tick (at dc*ratio+overhead) can never
+	// fall inside the current core span — otherwise a catch-up tick would
+	// deliver it one evaluated cycle earlier than per-cycle ticking does.
+	skipping := !cfg.ForceTicked
+	gating := skipping && overhead >= ratio
+	// issuedTotal is the sum of the shards' CommandsIssued counters, kept
+	// running: commands issue only inside controller ticks, and the
+	// counters reset only at the warmup boundary.
+	issuedTotal := int64(0)
 	lastIssued, lastIssuedAt := int64(0), int64(0)
 	evaluated := int64(0)
 	// coreDone[i] is the CPU cycle core i has simulated up to.
 	coreDone := make([]int64, cfg.Cores)
-	// Controller-tick elision: ctrlNext is the bound NextEventAt returned
-	// after the last unproductive controller tick. Until that cycle — and as
-	// long as no core enqueues a request, which invalidates the bound — the
-	// controller tick is skipped even while cores stay busy: nothing can
-	// retire (the bound caps at the oldest in-flight burst's end), nothing
-	// can issue, and the policy's OnCycle is inert between events (the
-	// NextEventer contract; non-NextEventer policies pin the bound to now+1).
-	// The per-cycle BLP accounting those ticks would have done accrues in
-	// ctrlIdle and is applied in closed form before the next real tick or
-	// any stats read.
-	ctrlNext := int64(0)
-	ctrlIdle := int64(0)
-	ctrlEnq := int64(0)
-	flushIdle := func() {
-		if ctrlIdle > 0 {
-			ctrl.AccountIdleSpan(ctrlIdle)
-			ctrlIdle = 0
-		}
-	}
 	for dc := int64(0); dc < totalDRAM; {
 		if dc == warmupDRAM && dc > 0 {
 			// A jump may land here with the cores' CPU time still inside the
@@ -340,8 +415,11 @@ func Run(cfg Config, mix workload.Mix, policy memctrl.Policy) (Result, error) {
 			for _, core := range cores {
 				core.ResetStats()
 			}
-			flushIdle()
-			ctrl.ResetStats()
+			for _, s := range shards {
+				s.flushIdle()
+				s.ctrl.ResetStats()
+			}
+			issuedTotal = 0
 			if tel != nil {
 				tel.probe.Rebase()
 			}
@@ -362,32 +440,27 @@ func Run(cfg Config, mix workload.Mix, policy memctrl.Policy) (Result, error) {
 			core.Tick(coreDone[i], int(tickEnd-coreDone[i]))
 			coreDone[i] = tickEnd
 		}
-		issuedBefore := ctrl.CommandsIssued()
-		if e := ctrl.Enqueues(); skipping && dc < ctrlNext && e == ctrlEnq {
-			ctrlIdle++ // controller provably inert this cycle; tick elided
-		} else {
-			ctrlEnq = e
-			flushIdle()
-			ctrl.Tick(dc)
-			if ctrl.CommandsIssued() == issuedBefore {
-				ctrlNext = ctrl.NextEventAt(dc)
-			} else {
-				ctrlNext = dc + 1
+		cycleIssued := int64(0)
+		for _, s := range shards {
+			if skipping && s.inert(dc) {
+				s.ctrlIdle++ // controller provably inert this cycle; tick elided
+				continue
 			}
+			cycleIssued += s.tick(dc)
 		}
+		issuedTotal += cycleIssued
 		// Liveness check: buffered work with no command progress for a long
 		// stretch of simulated time indicates a scheduling deadlock (a policy
 		// bug). The window counts elapsed DRAM cycles, not loop iterations,
 		// and jumps are capped at the deadline below, so the guard fires on
 		// the same cycle with skipping on or off.
-		if n := ctrl.CommandsIssued(); n != lastIssued {
-			lastIssued, lastIssuedAt = n, dc
-		} else if ctrl.PendingReads() > 0 && dc-lastIssuedAt > livenessWindowDRAM {
+		if issuedTotal != lastIssued {
+			lastIssued, lastIssuedAt = issuedTotal, dc
+		} else if p := pending(shards); p > 0 && dc-lastIssuedAt > livenessWindowDRAM {
 			return Result{}, fmt.Errorf("sim: no DRAM progress for %d cycles with %d reads pending (policy %s)",
-				dc-lastIssuedAt, ctrl.PendingReads(), policy.Name())
+				dc-lastIssuedAt, p, policyName)
 		}
 		if tel != nil && dc+1 == tel.nextSample {
-			flushIdle()
 			tel.sample(dc + 1)
 		}
 		if dc+1 == nextCheck {
@@ -399,24 +472,31 @@ func Run(cfg Config, mix workload.Mix, policy memctrl.Policy) (Result, error) {
 				}
 			}
 			if cfg.Progress != nil {
-				cfg.Progress(Progress{
+				p := Progress{
 					DRAMCycle:       dc + 1,
 					TotalDRAMCycles: totalDRAM,
 					CPUCycle:        (dc + 1) * ratio,
 					Warmup:          dc+1 < warmupDRAM,
 					CommandsIssued:  lastIssued,
-					PendingReads:    ctrl.PendingReads(),
-				})
+					PendingReads:    pending(shards),
+				}
+				if independent {
+					p.PendingPerChannel = make([]int, n)
+					for ch, s := range shards {
+						p.PendingPerChannel[ch] = s.ctrl.PendingReads()
+					}
+				}
+				cfg.Progress(p)
 			}
 		}
 		next := dc + 1
-		if skipping && ctrl.CommandsIssued() == issuedBefore {
+		if skipping && cycleIssued == 0 {
 			// The cycle was idle on the controller side. If every core is
 			// provably blocked too, nothing observable can happen until the
-			// earliest of the cores' wake cycles and the controller's next
-			// event. A command issue this cycle would have freed a request-
+			// earliest of the cores' wake cycles and the controllers' next
+			// events. A command issue this cycle would have freed a request-
 			// or write-buffer slot (unblocking a fetch- or store-stalled
-			// core), hence the issuedBefore guard.
+			// core), hence the cycleIssued guard.
 			target := totalDRAM
 			for _, core := range cores {
 				b := core.BlockedUntil()
@@ -429,12 +509,14 @@ func Run(cfg Config, mix workload.Mix, policy memctrl.Policy) (Result, error) {
 				}
 			}
 			if target > next {
-				// ctrlNext is the same NextEventAt bound the ticked path
-				// would recompute here: it was produced by the last
-				// unproductive tick and stays valid (no enqueue, no issue
-				// since — both force a re-tick above).
-				if ctrlNext < target {
-					target = ctrlNext
+				// Each shard's ctrlNext is the same NextEventAt bound the
+				// ticked path would recompute here: it was produced by the
+				// shard's last unproductive tick and stays valid (no enqueue,
+				// no issue since — both force a re-tick).
+				for _, s := range shards {
+					if s.ctrlNext < target {
+						target = s.ctrlNext
+					}
 				}
 				if dc < warmupDRAM && warmupDRAM < target {
 					target = warmupDRAM
@@ -445,15 +527,19 @@ func Run(cfg Config, mix workload.Mix, policy memctrl.Policy) (Result, error) {
 				if nextCheck-1 < target {
 					target = nextCheck - 1
 				}
-				if ctrl.PendingReads() > 0 {
+				if pending(shards) > 0 {
 					if deadline := lastIssuedAt + livenessWindowDRAM + 1; deadline < target {
 						target = deadline
 					}
 				}
 			}
 			if target > next {
+				// The skipped span is provably idle on every shard; its BLP
+				// accounting joins the shard's elided cycles.
+				for _, s := range shards {
+					s.ctrlIdle += target - next
+				}
 				next = target
-				ctrl.AccountIdleSpan(next - dc - 1)
 			}
 		}
 		dc = next
@@ -468,107 +554,37 @@ func Run(cfg Config, mix workload.Mix, policy memctrl.Policy) (Result, error) {
 			core.Tick(coreDone[i], int(tail))
 		}
 	}
-	flushIdle()
+	for _, s := range shards {
+		s.flushIdle()
+	}
 	if tel != nil {
 		tel.probe.RecordLoopStats(totalDRAM, evaluated, totalDRAM-evaluated)
 	}
 
 	res := Result{
-		Policy:          policy.Name(),
-		DRAM:            dev.Stats(),
+		Policy:          policyName,
 		DRAMCycles:      totalDRAM - warmupDRAM,
 		EvaluatedCycles: evaluated,
 		SkippedCycles:   totalDRAM - evaluated,
+	}
+	if independent {
+		res.Policy += fmt.Sprintf(" x%d-independent", n)
+	}
+	for _, s := range shards {
+		st := s.dev.Stats()
+		res.DRAM.Activates += st.Activates
+		res.DRAM.Precharges += st.Precharges
+		res.DRAM.Reads += st.Reads
+		res.DRAM.Writes += st.Writes
+		res.DRAM.Refreshes += st.Refreshes
+		res.DRAM.BusyCycles += st.BusyCycles / int64(n) // normalize to one bus
 	}
 	for i, core := range cores {
 		res.Threads = append(res.Threads, metrics.ThreadOutcome{
 			Benchmark: mix.Benchmarks[i].Name,
 			CPU:       core.Stats(),
-			Mem:       ctrl.ThreadStats(i),
+			Mem:       threadStats(shards, i),
 		})
 	}
 	return res, nil
-}
-
-// sampler holds the preallocated scratch a probed run fills at each epoch
-// boundary.
-type sampler struct {
-	probe      *telemetry.Probe
-	cores      []*cpu.Core
-	ctrl       *memctrl.Controller
-	dev        *dram.Device
-	threads    []telemetry.ThreadSample
-	bankCAS    []int64
-	nextSample int64
-	epochLen   int64
-}
-
-// sample snapshots the cumulative simulation counters into the probe at the
-// epoch ending at DRAM cycle end. Allocation-free.
-func (s *sampler) sample(end int64) {
-	for i, core := range s.cores {
-		st := core.Stats()
-		ms := s.ctrl.ThreadStats(i)
-		blpSum, blpCycles := ms.BLPAccum()
-		s.threads[i] = telemetry.ThreadSample{
-			Instructions:     st.Instructions,
-			CPUCycles:        st.Cycles,
-			MemStallCycles:   st.MemStallCycles,
-			QueueLen:         s.ctrl.ReadsPerThread(i),
-			WindowOccupancy:  core.WindowOccupancy(),
-			ReadsCompleted:   ms.ReadsCompleted,
-			TotalReadLatency: ms.TotalReadLatency,
-			BLPSum:           blpSum,
-			BLPCycles:        blpCycles,
-		}
-	}
-	s.dev.CopyBankCAS(s.bankCAS)
-	ds := s.dev.Stats()
-	s.probe.Sample(end, s.threads, s.bankCAS, telemetry.DeviceSample{
-		Reads:      ds.Reads,
-		Writes:     ds.Writes,
-		Activates:  ds.Activates,
-		BusyCycles: ds.BusyCycles,
-	})
-	s.nextSample = end + s.epochLen
-}
-
-// RunAlone simulates one benchmark alone on the same memory system (same
-// channel count, banks and controller) — the baseline for slowdown metrics.
-// The scheduling policy is irrelevant with one thread; FR-FCFS is used as
-// in the paper's alone runs. Telemetry probes, tracers and command logs
-// apply only to the shared run and are stripped here; Context and Progress
-// carry over.
-func RunAlone(cfg Config, p workload.Profile) (metrics.ThreadOutcome, error) {
-	alone := cfg
-	alone.Cores = 1
-	alone.Ctrl.Threads = 1
-	alone.Probe = nil
-	alone.Tracer = nil
-	alone.CommandLog = nil
-	mix := workload.Mix{Name: "alone-" + p.Name, Benchmarks: []workload.Profile{p}}
-	res, err := Run(alone, mix, frfcfsPolicy())
-	if err != nil {
-		return metrics.ThreadOutcome{}, err
-	}
-	return res.Threads[0], nil
-}
-
-// memPort adapts the controller to the cpu.MemPort interface, carrying the
-// current DRAM cycle.
-type memPort struct {
-	ctrl *memctrl.Controller
-	now  int64
-}
-
-func (p *memPort) IssueRead(thread int, addr int64, tag int) bool {
-	r, ok := p.ctrl.EnqueueRead(thread, addr, p.now)
-	if ok {
-		r.Tag = tag
-	}
-	return ok
-}
-
-func (p *memPort) IssueWrite(thread int, addr int64) bool {
-	return p.ctrl.EnqueueWrite(thread, addr, p.now)
 }

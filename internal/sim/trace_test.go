@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"repro/internal/memctrl"
@@ -210,5 +211,50 @@ func TestStarvationAuditEndToEnd(t *testing.T) {
 			t.Logf("%s worst read latency: PAR-BS %d cycles (envelope %d), FR-FCFS %d cycles",
 				mix.Name, par.Audit.MaxDelayCycles, par.Audit.DelayBoundCycles, fr.Audit.MaxDelayCycles)
 		})
+	}
+}
+
+// TestTraceCapAcrossChannels: every channel of an independent-channel run
+// records into the run's one buffer, so the cap bounds the run, not each
+// channel. A capped 4-channel run keeps exactly MaxEvents events, counts
+// the rest as dropped, and keeps the uncapped run's first MaxEvents events
+// in processing order, batch shapes included.
+func TestTraceCapAcrossChannels(t *testing.T) {
+	traced := func(maxEvents int) *trace.Log {
+		cfg := DefaultConfig(4)
+		cfg.WarmupCPUCycles = 10_000
+		cfg.MeasureCPUCycles = 150_000
+		cfg.Geometry.Channels = 4
+		tr := trace.NewTracer(trace.Config{MaxEvents: maxEvents})
+		cfg.Tracer = tr
+		if _, err := RunIndependent(cfg, workload.CaseStudyI(), func() memctrl.Policy { return sched.NewPARBSDefault() }); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Log()
+	}
+	full := traced(0)
+	const capped = 5000
+	if full.Dropped != 0 || len(full.Events) <= 2*capped {
+		t.Fatalf("uncapped run recorded %d events (%d dropped); need well over %d", len(full.Events), full.Dropped, capped)
+	}
+	got := traced(capped)
+	if len(got.Events) != capped {
+		t.Errorf("capped run kept %d events, want %d", len(got.Events), capped)
+	}
+	if want := int64(len(full.Events) - capped); got.Dropped != want {
+		t.Errorf("capped run dropped %d events, want %d", got.Dropped, want)
+	}
+	if !reflect.DeepEqual(got.Events, full.Events[:capped]) {
+		t.Error("capped run's events are not the uncapped run's prefix")
+	}
+	if !reflect.DeepEqual(got.BatchPerThread, full.BatchPerThread[:len(got.BatchPerThread)]) {
+		t.Error("capped run's batch shapes are not the uncapped run's prefix")
+	}
+	channels := map[int32]bool{}
+	for _, ev := range got.Events {
+		channels[ev.Channel] = true
+	}
+	if len(channels) != 4 {
+		t.Errorf("kept events span %d channels, want 4", len(channels))
 	}
 }

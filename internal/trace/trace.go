@@ -91,7 +91,7 @@ type Meta struct {
 	// Cores and Banks give the system shape. Banks is per channel.
 	Cores int `json:"cores"`
 	Banks int `json:"banks"`
-	// Channels is the independent-channel count of a sharded run; 0 or 1
+	// Channels is the channel count of an independent-channel run; 0
 	// means a single command stream (lock-step channels included).
 	Channels int `json:"channels,omitempty"`
 	// CPUPerDRAM is the clock ratio (cycles here are DRAM cycles).
@@ -116,9 +116,11 @@ type Config struct {
 }
 
 // Tracer records one run's lifecycle events. Construct with NewTracer,
-// attach through the simulation configuration; the controller and
-// scheduler feed it through the hooks below. Not safe for concurrent use —
-// the simulation is single-threaded per run.
+// attach through the simulation configuration; the controllers and
+// schedulers feed it through the hooks below, in simulation processing
+// order. A Tracer and its channel handles (ForChannel) belong to one
+// goroutine: the simulation runs each run on one, and nothing here is
+// safe for concurrent use.
 type Tracer struct {
 	cfg     Config
 	meta    Meta
@@ -128,8 +130,9 @@ type Tracer struct {
 	// batchPT holds each batch's per-thread marked counts, in
 	// batch-formation event order (parallel to the KindBatch events).
 	batchPT [][]int32
-	// channel is stamped onto every recorded event; non-zero only for
-	// shard tracers (NewShard).
+	// parent, set only on a channel handle, is the tracer whose buffer the
+	// handle records into, stamping channel onto every event.
+	parent  *Tracer
 	channel int32
 }
 
@@ -160,23 +163,36 @@ func (t *Tracer) Events() int { return len(t.events) }
 // Dropped returns how many events were discarded after the buffer filled.
 func (t *Tracer) Dropped() int64 { return t.dropped }
 
-// record appends an event, honoring the buffer cap.
-func (t *Tracer) record(ev Event) {
-	if len(t.events) >= t.cfg.MaxEvents {
-		t.dropped++
-		return
+// buffer returns the tracer owning the event buffer t records into.
+func (t *Tracer) buffer() *Tracer {
+	if t.parent != nil {
+		return t.parent
 	}
-	ev.Channel = t.channel
-	t.events = append(t.events, ev)
+	return t
 }
 
-// NewShard derives a tracer for one channel of a sharded run: same buffer
-// cap, every recorded event stamped with the channel index. Shard tracers
-// are fed by their own channel's controller and scheduler only (so
-// parallel shard execution never contends on one event buffer) and are
-// folded back into the parent with MergeShards after the run.
-func (t *Tracer) NewShard(channel int) *Tracer {
-	return &Tracer{cfg: t.cfg, bound: true, channel: int32(channel)}
+// record stamps t's channel onto ev and appends it, honoring the buffer
+// cap; it reports whether the event was kept.
+func (t *Tracer) record(ev Event) bool {
+	b := t.buffer()
+	if len(b.events) >= b.cfg.MaxEvents {
+		b.dropped++
+		return false
+	}
+	ev.Channel = t.channel
+	b.events = append(b.events, ev)
+	return true
+}
+
+// ForChannel returns the hook target for one channel of an
+// independent-channel run: a record-only handle that stamps the channel
+// index onto every event and appends it to t's buffer, under t's cap.
+// Channel 0 is t itself (events carry channel 0 by default).
+func (t *Tracer) ForChannel(channel int) *Tracer {
+	if channel == 0 {
+		return t
+	}
+	return &Tracer{parent: t, channel: int32(channel)}
 }
 
 // RequestArrived records a request entering the controller's buffer.
@@ -213,17 +229,15 @@ func (t *Tracer) RequestCompleted(id int64, thread int, end, latency int64) {
 // size, per-thread marked counts, and how many requests the Marking-Cap
 // clipped out of it. The perThread slice is copied.
 func (t *Tracer) BatchFormedDetail(batch int64, now int64, size int, perThread []int, clipped int) {
-	if len(t.events) >= t.cfg.MaxEvents {
-		t.dropped++
+	if !t.record(Event{Kind: KindBatch, Cycle: now, Req: batch, Row: int64(size), Rank: int32(clipped)}) {
 		return
 	}
 	pt := make([]int32, len(perThread))
 	for i, n := range perThread {
 		pt[i] = int32(n)
 	}
-	t.batchPT = append(t.batchPT, pt)
-	t.events = append(t.events, Event{Kind: KindBatch, Cycle: now, Req: batch,
-		Row: int64(size), Rank: int32(clipped), Channel: t.channel})
+	b := t.buffer()
+	b.batchPT = append(b.batchPT, pt)
 }
 
 // BatchDrained records a batch completing: every marked request serviced,

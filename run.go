@@ -81,8 +81,8 @@ type AloneCache struct {
 // entries.
 type aloneCacheKey struct {
 	benchmark string
-	// independent distinguishes Independent-channel baselines (sharded
-	// engine, per-channel FR-FCFS) from Lockstep ones.
+	// independent distinguishes Independent-channel baselines (one shard
+	// and one FR-FCFS per channel) from Lockstep ones.
 	independent bool
 	timing      dram.Timing
 	geometry    dram.Geometry
@@ -230,19 +230,16 @@ func WithProgress(fn func(Progress)) RunOption {
 	return func(rc *runConfig) { rc.progress = fn }
 }
 
-// WithParallelism bounds the worker goroutines a run spreads its work
-// across: 0 (the default) uses GOMAXPROCS, and 1 runs everything inline on
-// the calling goroutine — the shared run, then each alone baseline in order
-// of first appearance. A run's phases (the shared run and every alone
+// WithParallelism bounds how many of a run's phases execute at once: 0
+// (the default) uses GOMAXPROCS, and 1 runs everything inline on the
+// calling goroutine — the shared run, then each alone baseline in order of
+// first appearance. A run's phases (the shared run and every alone
 // baseline the AloneCache does not already hold) are independent
-// simulations, and up to n of them execute at once, the shared run first.
-// When only one phase runs, an Independent-channel run (System.ChannelMode)
-// instead spreads its per-channel shards over up to n workers (clamped to
-// the channel count); when phases overlap, every phase runs its shards
-// inline, since the phases already occupy the workers. The setting changes
-// wall-clock speed only — the report, telemetry and traces are
-// byte-identical at every level (pinned by the parallel equivalence
-// tests). Negative values are reported as an error by RunContext.
+// simulations, each on one goroutine, and up to n of them execute at once,
+// the shared run first. The setting changes wall-clock speed only — the
+// report, telemetry and traces are byte-identical at every level (pinned
+// by the phase equivalence tests). Negative values are reported as an
+// error by RunContext.
 func WithParallelism(n int) RunOption {
 	return func(rc *runConfig) { rc.parallelism = n }
 }
@@ -281,7 +278,6 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 			rc.runAlone = sim.RunAloneIndependent
 		}
 	}
-	cfg.Parallelism = rc.parallelism
 	if len(w.mix.Benchmarks) != cfg.Cores {
 		return Report{}, fmt.Errorf("parbs: workload %q has %d benchmarks for %d cores",
 			w.mix.Name, len(w.mix.Benchmarks), cfg.Cores)
@@ -364,12 +360,8 @@ func RunContext(ctx context.Context, sys System, w Workload, s Scheduler, opts .
 		todo = append(todo, p)
 	}
 	// The shared run (task 0, the longest) and the missing baselines are
-	// independent tasks on one pool. When they overlap, shards run inline:
-	// the phases already occupy the workers.
+	// independent tasks on one pool.
 	tasks := 1 + len(todo)
-	if sim.WorkerCount(rc.parallelism, tasks) > 1 {
-		cfg.Parallelism = 1
-	}
 	var res sim.Result
 	bases := make([]metrics.ThreadOutcome, len(todo))
 	err = sim.ParallelFor(ctx, rc.parallelism, tasks, func(ctx context.Context, i int) error {

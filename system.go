@@ -20,12 +20,10 @@ const (
 	Lockstep ChannelMode = "lockstep"
 	// Independent gives every channel its own controller and its own fresh
 	// scheduler instance, with cache lines spread across channels — the
-	// organization of most contemporary multi-channel controllers. In this
-	// mode the channels are execution shards and the run can execute them
-	// on parallel worker goroutines (WithParallelism) with byte-identical
-	// results — when the run's phases do not already overlap: while the
-	// shared run and its alone baselines run side by side, each runs its
-	// shards inline.
+	// organization of most contemporary multi-channel controllers. The
+	// channels are stepped in channel order on the run's goroutine, by the
+	// same run loop as Lockstep; WithParallelism bounds only how many of a
+	// run's phases execute at once.
 	Independent ChannelMode = "independent"
 )
 
